@@ -97,7 +97,7 @@ bench-serve:
 # measured ~685k, so steady-state churn stays pooled). Only the fast
 # sub-benchmark runs here; the reference numbers live in the JSON.
 bench-engine:
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkEngineMonth/quartz/fast' -benchtime 1x -benchmem -timeout 600s .); \
+	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkEngineMonth/quartz/fast' -benchtime 1x -benchmem -timeout 600s ./internal/experiments/); \
 	echo "$$out"; \
 	echo "$$out" | awk '/EngineMonth\/quartz\/fast/ { if ($$3+0 > 10000000000) { printf "bench-engine: month-long Quartz run regressed to %s ns/op (budget 10s)\n", $$3; exit 1 } }' || exit 1; \
 	echo "$$out" | awk '/EngineMonth\/quartz\/fast/ { for (i=1; i<NF; i++) if ($$(i+1) == "allocs/op") { if ($$i+0 > 1400000) { printf "bench-engine: month-long Quartz run regressed to %s allocs/op (budget 1400000)\n", $$i; exit 1 } } }' || exit 1

@@ -21,6 +21,7 @@ package rush
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sync"
 	"testing"
@@ -122,7 +123,8 @@ func printOnce(key, artifact string) {
 // variability table from the shared 60-day campaign.
 func BenchmarkFigure1Longitudinal(b *testing.B) {
 	benchSetup(b)
-	printOnce("Figure 1: longitudinal variability", ReportFigure1String(benchCampaign.JobScope))
+	printOnce("Figure 1: longitudinal variability",
+		reportText(b, func(w io.Writer) error { return ReportFigure1(w, benchCampaign.JobScope) }))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Collect(core.CollectConfig{Days: 7, Seed: int64(i)}); err != nil {
@@ -136,7 +138,7 @@ func BenchmarkFigure1Longitudinal(b *testing.B) {
 // and prints the dataset inventory.
 func BenchmarkTable1DatasetAssembly(b *testing.B) {
 	benchSetup(b)
-	printOnce("Table I: dataset inventory", ReportTableIString())
+	printOnce("Table I: dataset inventory", reportText(b, ReportTableI))
 	spec, _ := workload.SpecByName("ADAA")
 	// One RUSH trial performs one feature assembly per gate evaluation;
 	// time trials and report per-evaluation cost via custom metric.
@@ -165,7 +167,9 @@ func BenchmarkFigure3ModelF1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fmt.Printf("\n===== Figure 3: model F1 comparison =====\n%s", ReportFigure3String(append(jobScores, allScores...)))
+		scores := append(jobScores, allScores...)
+		fmt.Printf("\n===== Figure 3: model F1 comparison =====\n%s",
+			reportText(b, func(w io.Writer) error { return ReportFigure3(w, scores) }))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -178,7 +182,7 @@ func BenchmarkFigure3ModelF1(b *testing.B) {
 // BenchmarkTable2Workloads measures workload generation and prints the
 // experiment definitions.
 func BenchmarkTable2Workloads(b *testing.B) {
-	printOnce("Table II: experiments", ReportTableIIString())
+	printOnce("Table II: experiments", reportText(b, ReportTableII))
 	specs := workload.TableII()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -191,10 +195,10 @@ func BenchmarkTable2Workloads(b *testing.B) {
 }
 
 // benchTrialExperiment times one paired trial of the named experiment.
-func benchTrialExperiment(b *testing.B, name string, print func(cmp *experiments.Comparison) string) {
+func benchTrialExperiment(b *testing.B, name string, report func(w io.Writer, cmp *experiments.Comparison) error) {
 	benchSetup(b)
 	cmp := benchCmps[name]
-	printOnce(fmt.Sprintf("%s via %s", b.Name(), name), print(cmp))
+	printOnce(fmt.Sprintf("%s via %s", b.Name(), name), reportText(b, func(w io.Writer) error { return report(w, cmp) }))
 	spec, _ := workload.SpecByName(name)
 	pred := benchPred
 	if len(spec.TrainApps) > 0 {
@@ -210,8 +214,8 @@ func benchTrialExperiment(b *testing.B, name string, print func(cmp *experiments
 
 // BenchmarkFigure5VariationADAA regenerates the ADAA variation counts.
 func BenchmarkFigure5VariationADAA(b *testing.B) {
-	benchTrialExperiment(b, "ADAA", func(cmp *experiments.Comparison) string {
-		return ReportVariationString(cmp, BaselineStats(cmp.Baseline))
+	benchTrialExperiment(b, "ADAA", func(w io.Writer, cmp *experiments.Comparison) error {
+		return ReportVariation(w, cmp, BaselineStats(cmp.Baseline))
 	})
 }
 
@@ -221,8 +225,8 @@ func BenchmarkFigure4VariationADPAPDPA(b *testing.B) {
 	benchSetup(b)
 	adpa, pdpa := benchCmps["ADPA"], benchCmps["PDPA"]
 	printOnce("Figure 4: ADPA vs PDPA variation",
-		ReportVariationString(adpa, BaselineStats(adpa.Baseline))+
-			ReportVariationString(pdpa, BaselineStats(pdpa.Baseline)))
+		reportText(b, func(w io.Writer) error { return ReportVariation(w, adpa, BaselineStats(adpa.Baseline)) })+
+			reportText(b, func(w io.Writer) error { return ReportVariation(w, pdpa, BaselineStats(pdpa.Baseline)) }))
 	spec, _ := workload.SpecByName("PDPA")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -235,25 +239,25 @@ func BenchmarkFigure4VariationADPAPDPA(b *testing.B) {
 // BenchmarkFigure6RuntimeDistADAA regenerates the ADAA run-time
 // distributions.
 func BenchmarkFigure6RuntimeDistADAA(b *testing.B) {
-	benchTrialExperiment(b, "ADAA", ReportRunTimeDistString)
+	benchTrialExperiment(b, "ADAA", ReportRunTimeDist)
 }
 
 // BenchmarkFigure7RuntimeDistPDPA regenerates the PDPA run-time
 // distributions.
 func BenchmarkFigure7RuntimeDistPDPA(b *testing.B) {
-	benchTrialExperiment(b, "PDPA", ReportRunTimeDistString)
+	benchTrialExperiment(b, "PDPA", ReportRunTimeDist)
 }
 
 // BenchmarkFigure8WeakScaling regenerates the weak-scaling run-time
 // ranges.
 func BenchmarkFigure8WeakScaling(b *testing.B) {
-	benchTrialExperiment(b, "WS", ReportScalingDistString)
+	benchTrialExperiment(b, "WS", ReportScalingDist)
 }
 
 // BenchmarkFigure9StrongScaling regenerates the strong-scaling percent
 // improvements.
 func BenchmarkFigure9StrongScaling(b *testing.B) {
-	benchTrialExperiment(b, "SS", ReportMaxImprovementString)
+	benchTrialExperiment(b, "SS", ReportMaxImprovement)
 }
 
 // BenchmarkFigure10Makespan regenerates the per-experiment makespans.
@@ -263,7 +267,7 @@ func BenchmarkFigure10Makespan(b *testing.B) {
 	for _, spec := range workload.TableII() {
 		all = append(all, benchCmps[spec.Name])
 	}
-	printOnce("Figure 10: makespans", ReportMakespanString(all))
+	printOnce("Figure 10: makespans", reportText(b, func(w io.Writer) error { return ReportMakespan(w, all) }))
 	spec, _ := workload.SpecByName("ADAA")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -275,7 +279,7 @@ func BenchmarkFigure10Makespan(b *testing.B) {
 
 // BenchmarkFigure11WaitTimes regenerates the ADAA per-app wait times.
 func BenchmarkFigure11WaitTimes(b *testing.B) {
-	benchTrialExperiment(b, "ADAA", ReportWaitTimesString)
+	benchTrialExperiment(b, "ADAA", ReportWaitTimes)
 }
 
 // BenchmarkAblationDelayOnLittle measures RUSH when the gate also delays
@@ -292,7 +296,8 @@ func BenchmarkAblationDelayOnLittle(b *testing.B) {
 		}
 		ref := BaselineStats(cmp.Baseline)
 		fmt.Printf("\n===== Ablation: delay on little variation =====\n%s%s",
-			ReportVariationString(cmp, ref), ReportMakespanString([]*experiments.Comparison{cmp}))
+			reportText(b, func(w io.Writer) error { return ReportVariation(w, cmp, ref) }),
+			reportText(b, func(w io.Writer) error { return ReportMakespan(w, []*experiments.Comparison{cmp}) }))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -314,7 +319,7 @@ func BenchmarkAblationAllNodesScope(b *testing.B) {
 			b.Fatal(err)
 		}
 		fmt.Printf("\n===== Ablation: all-nodes decision scope =====\n%s",
-			ReportVariationString(cmp, BaselineStats(cmp.Baseline)))
+			reportText(b, func(w io.Writer) error { return ReportVariation(w, cmp, BaselineStats(cmp.Baseline)) }))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -338,7 +343,8 @@ func BenchmarkAblationSJF(b *testing.B) {
 		}
 		ref := BaselineStats(cmp.Baseline)
 		fmt.Printf("\n===== Ablation: SJF + RUSH =====\n%s%s",
-			ReportVariationString(cmp, ref), ReportMakespanString([]*experiments.Comparison{cmp}))
+			reportText(b, func(w io.Writer) error { return ReportVariation(w, cmp, ref) }),
+			reportText(b, func(w io.Writer) error { return ReportMakespan(w, []*experiments.Comparison{cmp}) }))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -39,9 +39,7 @@ func main() {
 	metrics := cliflags.Metrics()
 	pprofPath := cliflags.Pprof()
 	workers := cliflags.Workers()
-	schedRef := cliflags.SchedReference()
 	topoFlag := cliflags.Topo()
-	engineRef := cliflags.EngineReference()
 	engineWorkers := cliflags.EngineWorkers()
 	flag.Parse()
 	if *quick {
@@ -114,8 +112,7 @@ func main() {
 		}
 		log.Printf("running %s (%d paired trials)...", spec.Name, *trials)
 		cmp, err := experiments.RunExperiment(spec, p, *trials, *seed*1000,
-			experiments.Config{Topo: topo, Workers: *workers, Metrics: *metrics,
-				SchedReference: *schedRef, EngineReference: *engineRef, EngineWorkers: *engineWorkers})
+			experiments.Config{Topo: topo, Workers: *workers, Metrics: *metrics, EngineWorkers: *engineWorkers})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -163,8 +160,7 @@ func main() {
 	if *drift {
 		log.Printf("running drift scenarios (%d trials each)...", *trials)
 		rows, err := experiments.RunDriftExperiment(adaa.Spec, pred, nil, *trials, *seed*1000,
-			experiments.Config{Topo: topo, Workers: *workers, Metrics: *metrics,
-				SchedReference: *schedRef, EngineReference: *engineRef, EngineWorkers: *engineWorkers})
+			experiments.Config{Topo: topo, Workers: *workers, Metrics: *metrics, EngineWorkers: *engineWorkers})
 		if err != nil {
 			log.Fatal(err)
 		}

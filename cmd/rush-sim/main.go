@@ -64,9 +64,7 @@ func main() {
 	canaryThreshold := flag.Float64("canary-threshold", 0, "canary policy probe-slowdown veto threshold (0 = default 1.6; must be positive)")
 	canaryAllClasses := flag.Bool("canary-all-classes", false, "canary policy also gates compute-intensive jobs")
 	workers := cliflags.Workers()
-	schedRef := cliflags.SchedReference()
 	topoFlag := cliflags.Topo()
-	engineRef := cliflags.EngineReference()
 	engineWorkers := cliflags.EngineWorkers()
 	flag.Parse()
 
@@ -92,9 +90,7 @@ func main() {
 		Topo:          topo,
 		DelayOnLittle: *delayLittle, AllNodesScope: *allNodes, UseSJF: *sjf,
 		Workers: *workers, Trace: *tracePath != "", Metrics: *metrics,
-		SchedReference:  *schedRef,
-		EngineReference: *engineRef,
-		EngineWorkers:   *engineWorkers,
+		EngineWorkers: *engineWorkers,
 	}
 	cfg.Faults = faults.Config{
 		NodeMTBF:      *nodeMTBF,

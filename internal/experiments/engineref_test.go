@@ -9,7 +9,7 @@ import (
 )
 
 // TestEngineReferenceMatchesFastPath pins the end-to-end contract behind
-// Config.EngineReference: routing every contention change through the
+// Config.engineReference: routing every contention change through the
 // machine's serial full-recompute executor instead of the dirty-lane
 // sharded fast path must change nothing observable — not a job record,
 // not a trace byte — through the full experiment stack (noise, gates,
@@ -19,7 +19,7 @@ func TestEngineReferenceMatchesFastPath(t *testing.T) {
 	spec := shortSpec()
 	matrix := func(ref bool) []FaultRow {
 		t.Helper()
-		rows, err := FaultMatrix(spec, pred, nil, 3, 900, Config{Trace: true, EngineReference: ref})
+		rows, err := FaultMatrix(spec, pred, nil, 3, 900, Config{Trace: true, engineReference: ref})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestEngineDifferentialAcrossTopologies(t *testing.T) {
 				t.Helper()
 				tr, err := RunTrial(spec, Baseline, nil, seed, Config{
 					Topo: topo, Trace: true,
-					EngineReference: engineRef, EngineWorkers: engineWorkers,
+					engineReference: engineRef, EngineWorkers: engineWorkers,
 				})
 				if err != nil {
 					t.Fatal(err)

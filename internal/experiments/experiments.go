@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 
 	"rush/internal/apps"
 	"rush/internal/cluster"
@@ -90,19 +91,6 @@ type Config struct {
 	// TestRunExperimentParallelDeterminism).
 	Workers int
 
-	// SchedReference routes every scheduling pass through the reference
-	// scanner instead of the availability-timeline fast path. Schedules
-	// are job-for-job identical either way (see
-	// sched.Scheduler.DisableFastPath); the knob exists for differential
-	// testing and for benchmarking the fast path's speedup.
-	SchedReference bool
-
-	// EngineReference routes every contention change through the
-	// machine's serial full-recompute executor instead of the dirty-lane
-	// fast path (see machine.Machine.DisableFastPath). Simulations are
-	// bit-identical either way; the knob exists for differential testing
-	// and for measuring the sharded engine's speedup.
-	EngineReference bool
 	// EngineWorkers bounds the goroutines the machine may use to fan out
 	// slowdown recomputation inside one trial when a contention change
 	// touches many jobs (see machine.Machine.Workers). 0 or 1 keeps the
@@ -150,6 +138,15 @@ type Config struct {
 	// breaker, fault, and engine counters plus wait/run histograms),
 	// snapshotted into Trial.Metrics and rendered by ReportMetrics.
 	Metrics bool
+
+	// schedReference and engineReference route every scheduling pass
+	// through the scheduler's reference scanner (see
+	// sched.Config.DisableFastPath) and every contention change through
+	// the machine's serial full-recompute executor (see
+	// machine.Machine.DisableFastPath). Both oracles yield bit-identical
+	// trials; the selectors exist for this package's differential tests
+	// and engine benchmark, not as options.
+	schedReference, engineReference bool
 }
 
 func (c *Config) fill() {
@@ -194,7 +191,22 @@ type JobRecord struct {
 	Failed   bool
 }
 
-// Trial is one full workload execution under one policy.
+// jobRecord captures a finished job's outcome.
+func jobRecord(j *sched.Job) JobRecord {
+	return JobRecord{
+		ID: j.ID, App: j.App.Name, Nodes: j.Nodes,
+		Submit: j.SubmitTime, Start: j.StartTime, End: j.EndTime,
+		Wait: j.WaitTime(), RunTime: j.RunTime(), Skips: j.Skips,
+		Immediate: j.SubmitTime == 0,
+		Retries:   j.Retries, LostWork: j.LostWork, Failed: j.Failed,
+	}
+}
+
+// Trial is one full workload execution under one policy. Besides the
+// per-job records it carries the outcome fields it shares with
+// ReplaySummary: Makespan, the RUSH or Canary gate counters, the
+// fault-injection and model-lifecycle outcomes, and the Trace and
+// Metrics captures.
 type Trial struct {
 	Experiment string
 	Policy     Policy
@@ -204,6 +216,14 @@ type Trial struct {
 	// reservation size.
 	TopoNodes int
 	Jobs      []JobRecord
+	outcome
+}
+
+// outcome is the part of a run's result that Trial and ReplaySummary
+// share. drive fills it: the completion fields as jobs finish, the rest
+// in one harvest after the drain. The field order and tags are Trial's
+// JSON layout.
+type outcome struct {
 	// Makespan is the duration from first submission to last completion.
 	Makespan float64
 	// GateEvaluations / GateVetoes / ThresholdOverrides report RUSH gate
@@ -235,10 +255,21 @@ type Trial struct {
 	ShadowPredictions int     `json:",omitempty"`
 	CanaryActed       int     `json:",omitempty"`
 
-	// Trace is the trial's JSONL event stream (nil unless Config.Trace).
+	// Trace is the JSONL event stream (nil unless Config.Trace).
 	Trace []byte `json:",omitempty"`
-	// Metrics is the trial's metrics snapshot (nil unless Config.Metrics).
+	// Metrics is the metrics snapshot (nil unless Config.Metrics).
 	Metrics *obs.Snapshot `json:",omitempty"`
+}
+
+// complete folds one finished job into the completion fields.
+func (o *outcome) complete(j *sched.Job) {
+	o.LostWork += j.LostWork
+	if j.EndTime > o.Makespan {
+		o.Makespan = j.EndTime // first submission is at t = 0
+	}
+	if j.Failed {
+		o.FailedJobs++
+	}
 }
 
 // RunTrial executes spec once under the given policy. The same seed
@@ -253,12 +284,10 @@ func RunTrial(spec workload.Spec, policy Policy, pred *core.Predictor, seed int6
 }
 
 // trialEnv is one trial's fully wired simulation environment — engine,
-// observation channels, machine, fault injector, gate, and scheduler —
-// shared by the eager driver (RunTrialJobs) and the streaming replay
-// driver (ReplayStream). Construction order is load-bearing: every
-// random stream derives from the engine seed in the order components
-// attach, so the eager and streaming drivers assemble identical
-// environments by running this one function.
+// observation channels, machine, fault injector, gate, and scheduler.
+// Construction order is load-bearing: every random stream derives from
+// the engine seed in the order components attach, so every run of one
+// seed assembles an identical environment by running this one function.
 type trialEnv struct {
 	eng        *sim.Engine
 	traceBuf   *bytes.Buffer
@@ -301,7 +330,7 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	m.DisableFastPath = cfg.EngineReference
+	m.DisableFastPath = cfg.engineReference
 	m.Workers = cfg.EngineWorkers
 	// Trials never hand *RunningJob to callers, so job-state pooling is
 	// always safe here and keeps machine-scale churn allocation-bounded.
@@ -376,7 +405,7 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 	s, err := sched.NewScheduler(sched.Config{
 		Machine: m, Primary: r1, Backfill: r2, Gate: gate,
 		Mode: cfg.Backfill, Observer: observer, Faults: inj,
-		DisableFastPath: cfg.SchedReference,
+		DisableFastPath: cfg.schedReference,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
@@ -407,103 +436,155 @@ func newTrialEnv(name string, policy Policy, pred *core.Predictor, seed int64, c
 	return env, nil
 }
 
-// RunTrialJobs executes an arbitrary job stream (e.g. one replayed from
-// an SWF trace via workload.FromSWF) under the given policy.
+// RunTrialJobs executes an arbitrary job list (e.g. one replayed from
+// an SWF trace via workload.FromSWF) under the given policy. The jobs
+// need not be in submit order: a stable sort of a copy orders them by
+// SubmitAt, keeping equal submit times in slice order, and the caller's
+// slice is left untouched.
 func RunTrialJobs(name string, jobs []workload.SubmittedJob, policy Policy, pred *core.Predictor, seed int64, cfg Config) (*Trial, error) {
 	cfg.fill()
-	env, err := newTrialEnv(name, policy, pred, seed, cfg)
+	sorted := append([]workload.SubmittedJob(nil), jobs...)
+	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].SubmitAt < sorted[b].SubmitAt })
+
+	tr := &Trial{Experiment: name, Policy: policy, Seed: seed, TopoNodes: cfg.Topo.Nodes}
+	_, _, err := drive(name, workload.NewSliceStream(sorted), policy, pred, seed, cfg, &tr.outcome, func(j *sched.Job) {
+		tr.Jobs = append(tr.Jobs, jobRecord(j))
+	})
 	if err != nil {
 		return nil, err
 	}
-	eng, s := env.eng, env.s
-
-	immediate := map[int]bool{}
-	for _, sj := range jobs {
-		sj := sj
-		if sj.Job.Nodes <= 0 || sj.Job.Nodes > cfg.Topo.Nodes {
-			return nil, fmt.Errorf("experiments: job %d requests %d nodes on a %d-node machine",
-				sj.Job.ID, sj.Job.Nodes, cfg.Topo.Nodes)
+	for _, r := range tr.Jobs {
+		if !r.Failed && (math.IsNaN(r.RunTime) || r.RunTime <= 0) {
+			return nil, fmt.Errorf("experiments: job %d has invalid run time", r.ID)
 		}
-		immediate[sj.Job.ID] = sj.SubmitAt == 0
-		eng.At(sj.SubmitAt, func() { s.Submit(sj.Job) })
+	}
+	return tr, nil
+}
+
+// drive is the one trial driver behind RunTrialJobs and ReplayStream.
+// It assembles the environment, feeds stream into the scheduler, drains
+// the simulation until the stream is exhausted and every submitted job
+// has completed, and fills out. Finished jobs are not retained: each is
+// handed to the lifecycle hook (if any), folded into out, and passed to
+// onComplete, in completion order. drive returns the number of jobs
+// submitted and the peak heap the MemSample sampler saw. cfg must
+// already be filled.
+//
+// Determinism: the feeder is one front-band event (sim.Engine.AtFront)
+// re-armed to each next submit time, so submissions at time t fire ahead
+// of simulation events queued earlier for the same t — the order of one
+// submit event per job pre-queued before the run, which is what the
+// eager-order differential in replay_test.go pins. Feeding the same
+// stream contents therefore yields bit-identical traces whether the jobs
+// come from disk, gzip, or a slice.
+func drive(name string, stream workload.JobStream, policy Policy, pred *core.Predictor, seed int64, cfg Config,
+	out *outcome, onComplete func(*sched.Job)) (submitted int, peakHeap uint64, err error) {
+	env, err := newTrialEnv(name, policy, pred, seed, cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	eng, s := env.eng, env.s
+	s.DiscardCompleted = true
+	lifecycleHook := s.OnComplete
+	s.OnComplete = func(j *sched.Job) {
+		if lifecycleHook != nil {
+			lifecycleHook(j)
+		}
+		out.complete(j)
+		onComplete(j)
 	}
 
-	// Drain the workload. The noise job schedules phase events forever,
-	// so run step-by-step until every job has completed.
-	for len(s.Completed()) < len(jobs) {
+	next, ok, err := stream.Next()
+	if err != nil {
+		return 0, 0, fmt.Errorf("experiments: replay: %w", err)
+	}
+	var feedErr error
+	if ok {
+		var feeder *sim.Event
+		feed := func() {
+			now := eng.Now()
+			for ok && next.SubmitAt <= now {
+				if serr := s.Submit(next.Job); serr != nil {
+					feedErr = fmt.Errorf("experiments: %w", serr)
+					return
+				}
+				submitted++
+				if next, ok, err = stream.Next(); err != nil {
+					feedErr = fmt.Errorf("experiments: replay: %w", err)
+					return
+				}
+			}
+			if ok {
+				eng.Rearm(feeder, next.SubmitAt)
+			}
+		}
+		feeder = eng.AtFront(next.SubmitAt, feed)
+	}
+
+	// The noise job schedules phase events forever, so the queue itself
+	// never empties on a healthy run: step until the work is done.
+	for feedErr == nil && (ok || s.CompletedCount() < submitted) {
 		if eng.Now() > cfg.MaxSimTime {
-			return nil, fmt.Errorf("experiments: trial exceeded %v simulated seconds (%d/%d jobs done)",
-				cfg.MaxSimTime, len(s.Completed()), len(jobs))
+			return 0, 0, fmt.Errorf("experiments: trial exceeded %v simulated seconds (%d/%d jobs done)",
+				cfg.MaxSimTime, s.CompletedCount(), submitted)
 		}
 		if !eng.Step() {
-			return nil, fmt.Errorf("experiments: event queue drained with %d/%d jobs incomplete",
-				len(s.Completed()), len(jobs))
+			return 0, 0, fmt.Errorf("experiments: event queue drained with %d/%d jobs incomplete",
+				s.CompletedCount(), submitted)
 		}
 	}
-	env.noise.Stop()
-	if err := s.Err(); err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
+	if feedErr != nil {
+		return 0, 0, feedErr
 	}
+	return submitted, env.peakHeap, env.harvest(out)
+}
 
-	tr := &Trial{Experiment: name, Policy: policy, Seed: seed, TopoNodes: cfg.Topo.Nodes}
-	var lastEnd float64
-	for _, j := range s.Completed() {
-		rec := JobRecord{
-			ID: j.ID, App: j.App.Name, Nodes: j.Nodes,
-			Submit: j.SubmitTime, Start: j.StartTime, End: j.EndTime,
-			Wait: j.WaitTime(), RunTime: j.RunTime(), Skips: j.Skips,
-			Immediate: immediate[j.ID],
-			Retries:   j.Retries, LostWork: j.LostWork, Failed: j.Failed,
-		}
-		if rec.Failed {
-			tr.FailedJobs++
-		} else if math.IsNaN(rec.RunTime) || rec.RunTime <= 0 {
-			return nil, fmt.Errorf("experiments: job %d has invalid run time", j.ID)
-		}
-		tr.LostWork += rec.LostWork
-		tr.Jobs = append(tr.Jobs, rec)
-		if j.EndTime > lastEnd {
-			lastEnd = j.EndTime
+// harvest stops the noise job, surfaces the scheduler's sticky error,
+// and copies the environment's gate, fault, and lifecycle counters and
+// its trace and metrics captures into out. It runs once, after the
+// drain.
+func (env *trialEnv) harvest(out *outcome) error {
+	env.noise.Stop()
+	if err := env.s.Err(); err != nil {
+		return fmt.Errorf("experiments: %w", err)
+	}
+	out.NodeFailures = env.inj.NodeFailures
+	out.NodeRepairs = env.inj.NodeRepairs
+	out.JobKills = env.inj.JobKills
+	if g := env.rushGate; g != nil {
+		out.GateEvaluations = g.Evaluations
+		out.GateVetoes = g.Vetoes
+		out.ThresholdOverrides = g.ThresholdOverrides
+		out.GateDegraded = g.Degraded
+		out.DegradedTime = g.DegradedTime()
+		if g.Breaker != nil {
+			out.BreakerTrips = g.Breaker.Trips
 		}
 	}
-	tr.Makespan = lastEnd // first submission is at t = 0
-	tr.NodeFailures = env.inj.NodeFailures
-	tr.NodeRepairs = env.inj.NodeRepairs
-	tr.JobKills = env.inj.JobKills
-	if rushGate := env.rushGate; rushGate != nil {
-		tr.GateEvaluations = rushGate.Evaluations
-		tr.GateVetoes = rushGate.Vetoes
-		tr.ThresholdOverrides = rushGate.ThresholdOverrides
-		tr.GateDegraded = rushGate.Degraded
-		tr.DegradedTime = rushGate.DegradedTime()
-		if rushGate.Breaker != nil {
-			tr.BreakerTrips = rushGate.Breaker.Trips
-		}
+	if g := env.canaryGate; g != nil {
+		out.GateEvaluations = g.Evaluations
+		out.GateVetoes = g.Vetoes
+		out.ThresholdOverrides = g.ThresholdOverrides
 	}
 	if lcm := env.lcm; lcm != nil {
-		tr.DriftDetections = lcm.DriftDetections
-		tr.FirstDriftAt = lcm.FirstDriftAt
-		tr.Retrains = lcm.Retrains
-		tr.Promotions = lcm.Promotions
-		tr.Rollbacks = lcm.Rollbacks
-		tr.ShadowPredictions = lcm.ShadowDecisions
-		tr.CanaryActed = lcm.CanaryActed
-	}
-	if canaryGate := env.canaryGate; canaryGate != nil {
-		tr.GateEvaluations = canaryGate.Evaluations
-		tr.GateVetoes = canaryGate.Vetoes
-		tr.ThresholdOverrides = canaryGate.ThresholdOverrides
+		out.DriftDetections = lcm.DriftDetections
+		out.FirstDriftAt = lcm.FirstDriftAt
+		out.Retrains = lcm.Retrains
+		out.Promotions = lcm.Promotions
+		out.Rollbacks = lcm.Rollbacks
+		out.ShadowPredictions = lcm.ShadowDecisions
+		out.CanaryActed = lcm.CanaryActed
 	}
 	if env.traceBuf != nil {
 		if err := env.tracer.Flush(); err != nil {
-			return nil, fmt.Errorf("experiments: trace: %w", err)
+			return fmt.Errorf("experiments: trace: %w", err)
 		}
-		tr.Trace = env.traceBuf.Bytes()
+		out.Trace = env.traceBuf.Bytes()
 	}
 	if env.reg != nil {
-		tr.Metrics = env.reg.Snapshot()
+		out.Metrics = env.reg.Snapshot()
 	}
-	return tr, nil
+	return nil
 }
 
 // Comparison holds the paired trials of one experiment.

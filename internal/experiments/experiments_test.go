@@ -294,12 +294,12 @@ func TestSummaryByApp(t *testing.T) {
 
 func TestUtilization(t *testing.T) {
 	tr := &Trial{
-		Makespan: 100,
 		Jobs: []JobRecord{
 			{Nodes: 10, RunTime: 50},
 			{Nodes: 5, RunTime: 100},
 		},
 	}
+	tr.Makespan = 100
 	// busy = 10*50 + 5*100 = 1000; capacity = 20*100 = 2000.
 	if got := Utilization(tr, 20); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("utilization = %v, want 0.5", got)

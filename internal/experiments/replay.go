@@ -5,26 +5,22 @@ import (
 	"math"
 
 	"rush/internal/core"
-	"rush/internal/obs"
 	"rush/internal/sched"
-	"rush/internal/sim"
 	"rush/internal/workload"
 )
 
-// Streaming replay: the long-horizon driver. RunTrialJobs pre-queues one
-// submit event per job and keeps one JobRecord per completion, which is
-// exactly right for the paper's half-day Table II trials and exactly
-// wrong for a million-job year — the pending-event heap and the record
-// slice would both grow with trace length. ReplayStream instead feeds
-// the scheduler from a workload.JobStream through a single re-armed
-// front-band event, discards completed jobs after folding them into
-// running aggregates, and relies on the machine's history pruning to
-// keep telemetry state windowed. Peak memory is then set by the queue
-// depth the workload actually reaches, not by how long the trace is.
+// Streaming replay: the long-horizon result model. RunTrialJobs keeps
+// one JobRecord per completion, which is exactly right for the paper's
+// half-day Table II trials and exactly wrong for a million-job year.
+// ReplayStream runs the same driver but folds each completed job into
+// running aggregates and drops it, and relies on the machine's history
+// pruning to keep telemetry state windowed. Peak memory is then set by
+// the queue depth the workload actually reaches, not by how long the
+// trace is.
 
 // Welford is a streaming mean/variance accumulator (Welford's online
 // algorithm), plus the max — the one-pass replacement for the per-job
-// record slices the eager driver keeps.
+// records RunTrialJobs keeps.
 type Welford struct {
 	N    int
 	Mean float64
@@ -52,7 +48,8 @@ func (w *Welford) Std() float64 {
 }
 
 // ReplaySummary is the streaming analogue of Trial: everything in it is
-// O(1) in trace length.
+// O(1) in trace length. It carries the same outcome fields as Trial —
+// Makespan, gate, fault and lifecycle outcomes, Trace and Metrics.
 type ReplaySummary struct {
 	Experiment string
 	Policy     Policy
@@ -63,8 +60,6 @@ type ReplaySummary struct {
 	// jobs handed to the scheduler (equal to Jobs after a clean drain).
 	Jobs      int
 	Submitted int
-	// Makespan is the duration from first submission to last completion.
-	Makespan float64
 
 	// Wait, Run, and Slowdown aggregate per-job wait seconds, realized
 	// run seconds, and run-over-base-work slowdown across all non-failed
@@ -76,42 +71,19 @@ type ReplaySummary struct {
 	// configured threshold (Config.ReplaySlowdown).
 	HighVariation int
 
-	// Fault outcomes, as in Trial.
-	NodeFailures int
-	NodeRepairs  int
-	JobKills     int
-	FailedJobs   int
-	LostWork     float64
-
-	// Gate activity, as in Trial.
-	GateEvaluations    int
-	GateVetoes         int
-	ThresholdOverrides int
-	GateDegraded       int
-	BreakerTrips       int
-	DegradedTime       float64
-
 	// PeakHeapBytes is the largest Go heap the MemSample sampler saw
 	// during the run (0 when sampling is off).
 	PeakHeapBytes uint64
 
-	// Trace is the JSONL event stream (nil unless Config.Trace); Metrics
-	// is the metrics snapshot (nil unless Config.Metrics).
-	Trace   []byte        `json:",omitempty"`
-	Metrics *obs.Snapshot `json:",omitempty"`
+	outcome
 
 	slowdownMin float64
 }
 
-// observe folds one completed job into the summary.
+// observe folds one completed job into the per-job aggregates.
 func (r *ReplaySummary) observe(j *sched.Job) {
 	r.Jobs++
-	r.LostWork += j.LostWork
-	if j.EndTime > r.Makespan {
-		r.Makespan = j.EndTime
-	}
 	if j.Failed {
-		r.FailedJobs++
 		return
 	}
 	r.Wait.Add(j.WaitTime())
@@ -126,129 +98,28 @@ func (r *ReplaySummary) observe(j *sched.Job) {
 // ReplayStream executes a lazily produced job stream under the given
 // policy and returns streaming aggregates. The stream must yield jobs in
 // non-decreasing SubmitAt order (both workload.NewSWFStream and
-// workload.NewSliceStream do).
-//
-// Determinism: the feeder is one front-band event (sim.Engine.AtFront)
-// re-armed to each next submit time, so submissions at time t fire ahead
-// of simulation events queued earlier for the same t — the order an
-// eager driver that pre-queued every submission would have produced.
-// Replaying the same stream contents therefore yields bit-identical
-// traces whether the jobs come from disk, gzip, or a slice (pinned by
-// the differentials in replay_test.go).
+// workload.NewSliceStream over a sorted slice do). It runs the same
+// driver as RunTrialJobs, so one stream yields the same trace under
+// either.
 //
 // Unlike RunTrialJobs, a zero MaxSimTime means unbounded: a year-scale
-// replay is the purpose of this driver, not a runaway.
+// replay is the purpose of this entry point, not a runaway.
 func ReplayStream(name string, stream workload.JobStream, policy Policy, pred *core.Predictor, seed int64, cfg Config) (*ReplaySummary, error) {
 	if cfg.MaxSimTime <= 0 {
 		cfg.MaxSimTime = math.Inf(1)
 	}
 	cfg.fill()
-	env, err := newTrialEnv(name, policy, pred, seed, cfg)
-	if err != nil {
-		return nil, err
-	}
-	eng, s := env.eng, env.s
-
 	sum := &ReplaySummary{
 		Experiment: name, Policy: policy, Seed: seed,
 		TopoNodes: cfg.Topo.Nodes, slowdownMin: cfg.ReplaySlowdown,
 	}
-	// Completed jobs are folded into the summary as they finish and
-	// dropped; the lifecycle hook (if any) observes each job first, as it
-	// does under the eager driver.
-	s.DiscardCompleted = true
-	prevComplete := s.OnComplete
-	s.OnComplete = func(j *sched.Job) {
-		if prevComplete != nil {
-			prevComplete(j)
-		}
-		sum.observe(j)
-	}
-
-	next, ok, err := stream.Next()
+	var err error
+	sum.Submitted, sum.PeakHeapBytes, err = drive(name, stream, policy, pred, seed, cfg, &sum.outcome, sum.observe)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: replay: %w", err)
-	}
-	var feedErr error
-	if ok {
-		var feeder *sim.Event
-		feed := func() {
-			now := eng.Now()
-			for ok && next.SubmitAt <= now {
-				j := next.Job
-				if j.Nodes <= 0 || j.Nodes > cfg.Topo.Nodes {
-					feedErr = fmt.Errorf("experiments: job %d requests %d nodes on a %d-node machine",
-						j.ID, j.Nodes, cfg.Topo.Nodes)
-					return
-				}
-				if serr := s.Submit(j); serr != nil {
-					feedErr = serr
-					return
-				}
-				sum.Submitted++
-				if next, ok, err = stream.Next(); err != nil {
-					feedErr = fmt.Errorf("experiments: replay: %w", err)
-					return
-				}
-			}
-			if ok {
-				eng.Rearm(feeder, next.SubmitAt)
-			}
-		}
-		feeder = eng.AtFront(next.SubmitAt, feed)
-	}
-
-	// Drain: done when the stream is exhausted and every submitted job
-	// has completed. The noise job schedules phase events forever, so the
-	// queue itself never empties on a healthy run.
-	for feedErr == nil && (ok || s.CompletedCount() < sum.Submitted) {
-		if eng.Now() > cfg.MaxSimTime {
-			return nil, fmt.Errorf("experiments: replay exceeded %v simulated seconds (%d/%d jobs done)",
-				cfg.MaxSimTime, s.CompletedCount(), sum.Submitted)
-		}
-		if !eng.Step() {
-			return nil, fmt.Errorf("experiments: event queue drained with %d/%d jobs incomplete",
-				s.CompletedCount(), sum.Submitted)
-		}
-	}
-	if feedErr != nil {
-		return nil, feedErr
-	}
-	env.noise.Stop()
-	if err := s.Err(); err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
+		return nil, err
 	}
 	if sum.Submitted == 0 {
 		return nil, fmt.Errorf("experiments: replay stream yielded no jobs")
-	}
-
-	sum.NodeFailures = env.inj.NodeFailures
-	sum.NodeRepairs = env.inj.NodeRepairs
-	sum.JobKills = env.inj.JobKills
-	if g := env.rushGate; g != nil {
-		sum.GateEvaluations = g.Evaluations
-		sum.GateVetoes = g.Vetoes
-		sum.ThresholdOverrides = g.ThresholdOverrides
-		sum.GateDegraded = g.Degraded
-		sum.DegradedTime = g.DegradedTime()
-		if g.Breaker != nil {
-			sum.BreakerTrips = g.Breaker.Trips
-		}
-	}
-	if g := env.canaryGate; g != nil {
-		sum.GateEvaluations = g.Evaluations
-		sum.GateVetoes = g.Vetoes
-		sum.ThresholdOverrides = g.ThresholdOverrides
-	}
-	sum.PeakHeapBytes = env.peakHeap
-	if env.traceBuf != nil {
-		if err := env.tracer.Flush(); err != nil {
-			return nil, fmt.Errorf("experiments: trace: %w", err)
-		}
-		sum.Trace = env.traceBuf.Bytes()
-	}
-	if env.reg != nil {
-		sum.Metrics = env.reg.Snapshot()
 	}
 	return sum, nil
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestSchedReferenceMatchesFastPath pins the end-to-end contract behind
-// Config.SchedReference: routing every scheduling pass through the
+// Config.schedReference: routing every scheduling pass through the
 // reference scanner instead of the availability-timeline fast path must
 // change nothing observable — not a job record, not a trace byte. The
 // sched package's differential tests pin the two passes against each
@@ -26,7 +26,7 @@ func TestSchedReferenceMatchesFastPath(t *testing.T) {
 	// traces recorded so the comparison is event-for-event.
 	matrix := func(ref bool) []FaultRow {
 		t.Helper()
-		rows, err := FaultMatrix(spec, pred, nil, 3, 900, Config{Trace: true, SchedReference: ref})
+		rows, err := FaultMatrix(spec, pred, nil, 3, 900, Config{Trace: true, schedReference: ref})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestSchedReferenceMatchesFastPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.SchedReference = true
+		cfg.schedReference = true
 		b, err := RunExperiment(spec, pred, 2, 1500, cfg)
 		if err != nil {
 			t.Fatal(err)

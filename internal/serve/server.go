@@ -633,10 +633,13 @@ func Listen(addr string) (net.Listener, error) {
 // by its own goroutine; requests within one connection are handled in
 // order (responses match request order), while inference still batches
 // across connections.
+//
+// Serve on a closed server closes ln and returns nil at once.
 func (s *Server) Serve(ln net.Listener) error {
-	s.lnMu.Lock()
-	s.ln = ln
-	s.lnMu.Unlock()
+	if !s.whileOpen(func() { s.ln = ln }) {
+		ln.Close()
+		return nil
+	}
 	for {
 		c, err := ln.Accept()
 		if err != nil {
@@ -647,14 +650,32 @@ func (s *Server) Serve(ln net.Listener) error {
 				return err
 			}
 		}
-		s.lnMu.Lock()
-		s.conns[c] = struct{}{}
-		s.lnMu.Unlock()
-		s.wg.Add(1)
+		if !s.whileOpen(func() { s.conns[c] = struct{}{}; s.wg.Add(1) }) {
+			c.Close()
+			return nil
+		}
 		go func() {
 			defer s.wg.Done()
 			s.handleConn(c)
 		}()
+	}
+}
+
+// whileOpen runs fn under lnMu unless Close has begun, and reports
+// whether it ran. Serve registers its listener and each connection
+// (with its wg.Add) through it, so every registration lands either
+// before Close's sweep, which then closes it and waits for it, or is
+// refused: wg.Add never races Close's wg.Wait, and Close never misses a
+// listener.
+func (s *Server) whileOpen(fn func()) bool {
+	s.lnMu.Lock()
+	defer s.lnMu.Unlock()
+	select {
+	case <-s.stopCh:
+		return false
+	default:
+		fn()
+		return true
 	}
 }
 

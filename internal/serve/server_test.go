@@ -1,8 +1,12 @@
 package serve_test
 
 import (
+	"fmt"
+	"net"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"rush/internal/mlkit"
 	"rush/internal/obs"
@@ -220,5 +224,71 @@ func TestConcurrentSwapIngestDecide(t *testing.T) {
 	}
 	if got := stats["serve_decisions_total"]; got != deciders*perDecider {
 		t.Fatalf("decisions = %d, want %d", got, deciders*perDecider)
+	}
+}
+
+// TestDialCloseNoPing is the regression test for a shutdown race: a
+// connection accepted while Close was already waiting for the
+// connection goroutines used to register itself with the server's
+// WaitGroup concurrently with that Wait, which the race detector flags
+// and which occasionally panicked with "WaitGroup is reused before
+// previous Wait has returned". Each iteration dials and closes at once,
+// without a request, so Accept and Close overlap as often as possible.
+// Run it under -race.
+func TestDialCloseNoPing(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 200; i++ {
+		srv, err := serve.NewServer(serve.Config{Model: &blockingModel{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := "unix:" + filepath.Join(dir, fmt.Sprintf("s%d.sock", i))
+		ln, err := serve.Listen(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve(ln) }()
+		c, err := serve.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		c.Close()
+		awaitServe(t, ln, served)
+	}
+}
+
+// TestCloseBeforeServe is the regression test for the other shutdown
+// race: a Close that runs before Serve has registered its listener used
+// to leave Serve blocked in Accept forever. Serve on a closed server
+// must return at once.
+func TestCloseBeforeServe(t *testing.T) {
+	srv, err := serve.NewServer(serve.Config{Model: &blockingModel{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := serve.Listen("unix:" + filepath.Join(t.TempDir(), "serve.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	awaitServe(t, ln, served)
+}
+
+// awaitServe waits for a Serve call on a closed server to return nil.
+// On timeout it closes ln to release a Serve stuck in Accept.
+func awaitServe(t *testing.T, ln net.Listener, served <-chan error) {
+	t.Helper()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve returned %v after Close", err)
+		}
+	case <-time.After(5 * time.Second):
+		ln.Close()
+		t.Fatal("Serve blocked in Accept after Close")
 	}
 }

@@ -35,7 +35,7 @@ const replayBenchDays = 365
 const replayBenchInterarrival = 31.5
 
 // synthStream lazily generates the capacity workload of
-// engine_bench_test.go's monthStream as a workload.JobStream: the seven
+// BenchmarkEngineMonth (internal/experiments) as a workload.JobStream: the seven
 // proxy apps at hour-scale run times with class-dependent allocation
 // sizes. Nothing is retained between Next calls, so the driver's
 // resident set is the in-flight jobs, not the horizon.
